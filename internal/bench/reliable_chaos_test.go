@@ -189,3 +189,29 @@ func TestReliableSplitCompletesUnderLossWithStats(t *testing.T) {
 		t.Fatal("split survived loss without any retransmissions")
 	}
 }
+
+// TestReliableLossRunsAreDeterministic pins that a reliable-rail run
+// under loss replays identically: the retransmit machinery must not
+// depend on map iteration order, or the ext-chaos-split figure prints
+// a different loss-20% p99 from one run of the same binary to the
+// next.
+func TestReliableLossRunsAreDeterministic(t *testing.T) {
+	const size, iters, runs = 2 << 20, 10, 8
+	sc := lossScenario(t)
+	first := runChaos(chaosPairTopo, reliableCfg(), sc, chaosSplitOp(), size, iters)
+	if len(first.Makespans) == 0 {
+		t.Fatal("no iteration completed under loss-20%")
+	}
+	for r := 1; r < runs; r++ {
+		run := runChaos(chaosPairTopo, reliableCfg(), sc, chaosSplitOp(), size, iters)
+		if len(run.Makespans) != len(first.Makespans) || run.Retransmits != first.Retransmits {
+			t.Fatalf("run %d: %d completed, %d retransmits; run 0: %d completed, %d retransmits",
+				r, len(run.Makespans), run.Retransmits, len(first.Makespans), first.Retransmits)
+		}
+		for i, m := range run.Makespans {
+			if m != first.Makespans[i] {
+				t.Fatalf("run %d iteration %d: makespan %.0f ns, run 0: %.0f ns", r, i, m, first.Makespans[i])
+			}
+		}
+	}
+}

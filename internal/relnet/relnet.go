@@ -541,13 +541,19 @@ func (d *Driver) sampleRTTLocked(ns int64) {
 // onAckLocked digests the ack state carried by any arriving segment:
 // retire cumulatively-acked segments, mark selectively-acked ones,
 // count duplicate-ack hints and fast-retransmit on the third.
+//
+// Segments are visited in sequence order, never in map order: the RTT
+// estimator is order-dependent and fast retransmits reach the wire in
+// visit order, so map iteration would make simulated runs differ.
 func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.DriverEvent) {
 	now := d.clock.Now()
 	progress := false
-	for seq, seg := range d.win {
-		if seq > cum {
-			continue
-		}
+	// The window is the contiguous range [lo, hi]: segments enter it in
+	// sequence order from txq and leave as a cumulatively acked prefix.
+	hi := d.nextSeq - 1 - uint64(len(d.txq))
+	lo := hi + 1 - uint64(len(d.win))
+	for seq := lo; seq <= cum && seq <= hi; seq++ {
+		seg := d.win[seq]
 		if seg.retries == 0 && seg.data != nil {
 			d.sampleRTTLocked(now - seg.sentAt)
 		}
@@ -580,8 +586,9 @@ func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.Dri
 	// lost (its successors arrived). Three such hints trigger one fast
 	// retransmit, without waiting for the RTO.
 	if maxSacked > 0 {
-		for _, seg := range d.win {
-			if seg.seq >= maxSacked || seg.sacked || seg.data == nil {
+		for seq := hi + 1 - uint64(len(d.win)); seq < maxSacked && seq <= hi; seq++ {
+			seg := d.win[seq]
+			if seg.sacked || seg.data == nil {
 				continue
 			}
 			seg.dupHints++
