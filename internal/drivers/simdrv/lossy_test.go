@@ -20,7 +20,7 @@ func simLossyWorld() (w *des.World, p drvtest.LossyPair) {
 	na := ha.NewNIC(simnet.Myri10G())
 	nb := hb.NewNIC(simnet.Myri10G())
 	simnet.Connect(na, nb)
-	cfg := relnet.Config{Clock: relnet.DESClock{W: w}, RetryBudget: 4}
+	cfg := relnet.Config{Clock: simnet.WorldClock{W: w}, RetryBudget: 4}
 	fa, fb := relnet.NewFlaky(NewTransport(na, 0)), relnet.NewFlaky(NewTransport(nb, 0))
 	da, db := relnet.Wrap(fa, cfg), relnet.Wrap(fb, cfg)
 	return w, drvtest.LossyPair{

@@ -56,13 +56,14 @@ func NewTransport(nic *simnet.NIC, mtu int) *Transport {
 }
 
 // NewReliable builds a relnet-wrapped rail over nic: the reliability
-// layer's retransmit timers land on the NIC's world via a DESClock
-// (cancellable virtual-time timers), and its RTO defaults derive from
+// layer's retransmit timers land on the NIC's world via a
+// simnet.WorldClock (cancellable virtual-time timers, world time rather
+// than the host's CPU-inclusive clock), and its RTO defaults derive from
 // the NIC profile. Chaos loss on the link becomes survivable; a downed
 // NIC still fails the rail loudly.
 func NewReliable(nic *simnet.NIC, cfg relnet.Config) *relnet.Driver {
 	if cfg.Clock == nil {
-		cfg.Clock = relnet.DESClock{W: nic.Host().W}
+		cfg.Clock = simnet.WorldClock{W: nic.Host().W}
 	}
 	return relnet.Wrap(NewTransport(nic, cfg.MTU), cfg)
 }

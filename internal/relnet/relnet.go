@@ -27,8 +27,8 @@
 //     only never-retransmitted segments are sampled), so a slow-but-
 //     healthy rail (chaos bandwidth degradation, jitter) stretches its
 //     timeout instead of drowning in spurious retransmissions.
-//   - Timers come from a Clock: wall time for real sockets, the DES
-//     virtual clock for simulated rails — where they land on the
+//   - Timers come from a core.Clock: wall time for real sockets, the
+//     DES world clock for simulated rails — where they land on the
 //     cancellable World.Schedule/Timer.Stop API, so a stopped
 //     retransmit timer cannot advance virtual time and inflate
 //     makespans.
@@ -88,9 +88,11 @@ type Config struct {
 	Window int
 	// MTU caps datagram size; zero uses the transport's MTU.
 	MTU int
-	// Clock supplies retransmit timers; nil means WallClock. Simulated
-	// rails must pass a DESClock so timers live in virtual time.
-	Clock Clock
+	// Clock supplies RTT timestamps and retransmit timers. Nil means
+	// the wall clock, with the wall RTO floor; any other clock gets the
+	// virtual-time floor. Simulated rails pass a simnet.WorldClock so
+	// timers live in virtual time.
+	Clock core.Clock
 }
 
 // Stats counts protocol events since the driver was created.
@@ -142,7 +144,7 @@ type rseg struct {
 // Driver implements core.Driver over a Transport. Build one with Wrap.
 type Driver struct {
 	tr     Transport
-	clock  Clock
+	clock  core.Clock
 	mtu    int
 	maxPay int
 	window int
@@ -169,8 +171,8 @@ type Driver struct {
 	hasSRTT bool
 	curRTO  time.Duration
 
-	timer    Timer
-	timerGen uint64
+	stopTimer func() // cancels the armed retransmit timer; nil when unarmed
+	timerGen  uint64
 
 	// receiver
 	cumRecv uint64
@@ -196,8 +198,10 @@ func Wrap(tr Transport, cfg Config) *Driver {
 		ooo:     make(map[uint64]*rseg),
 		nextSeq: 1,
 	}
+	floor := minRTOFloor
 	if d.clock == nil {
-		d.clock = WallClock{}
+		d.clock = core.NewRealClock()
+		floor = wallRTOFloor
 	}
 	if d.mtu == 0 {
 		d.mtu = tr.MTU()
@@ -220,10 +224,6 @@ func Wrap(tr Transport, cfg Config) *Driver {
 			ser = time.Duration(float64(d.window*d.mtu) / prof.Bandwidth * 1e9)
 		}
 		d.rtoMin = 4*prof.Latency + 2*ser
-		floor := minRTOFloor
-		if _, wall := d.clock.(WallClock); wall {
-			floor = wallRTOFloor
-		}
 		if d.rtoMin < floor {
 			d.rtoMin = floor
 		}
@@ -371,9 +371,9 @@ func (d *Driver) releaseStateLocked() {
 		d.asm = nil
 	}
 	d.timerGen++
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
+	if d.stopTimer != nil {
+		d.stopTimer()
+		d.stopTimer = nil
 	}
 }
 
@@ -413,7 +413,7 @@ func (d *Driver) pumpLocked(out *[]*core.Buf) {
 		d.win[seg.seq] = seg
 		d.transmitLocked(seg, out)
 	}
-	if d.timer == nil && len(d.win) > 0 {
+	if d.stopTimer == nil && len(d.win) > 0 {
 		d.armTimerLocked()
 	}
 }
@@ -455,15 +455,15 @@ func (d *Driver) flush(out []*core.Buf) {
 // wall timers can race Stop, and a stale fire must be a no-op.
 func (d *Driver) armTimerLocked() {
 	d.timerGen++
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
+	if d.stopTimer != nil {
+		d.stopTimer()
+		d.stopTimer = nil
 	}
 	if d.closed || d.failed || len(d.win) == 0 {
 		return
 	}
 	gen := d.timerGen
-	d.timer = d.clock.Schedule(d.curRTO, func() { d.onTimer(gen) })
+	d.stopTimer = d.clock.AfterFunc(int64(d.curRTO), func() { d.onTimer(gen) })
 }
 
 // onTimer is the RTO expiry: retransmit the oldest unacked segment,
@@ -477,7 +477,7 @@ func (d *Driver) onTimer(gen uint64) {
 		d.mu.Unlock()
 		return
 	}
-	d.timer = nil
+	d.stopTimer = nil
 	var oldest *segState
 	for _, s := range d.win {
 		if s.data != nil && (oldest == nil || s.seq < oldest.seq) {

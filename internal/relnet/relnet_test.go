@@ -11,6 +11,7 @@ import (
 	"newmad/internal/des"
 	"newmad/internal/drivers/memdrv"
 	"newmad/internal/relnet"
+	"newmad/internal/simnet"
 )
 
 // sink is a minimal thread-safe core.Events recorder.
@@ -291,14 +292,14 @@ func TestTransportFailureFailsRail(t *testing.T) {
 }
 
 // TestDESTimersLeaveNoPhantomWakeups pins the cancellable-timer fix:
-// after a clean exchange under a DES clock, running the world must not
+// after a clean exchange under the world clock, running the world must not
 // advance virtual time to the (huge) RTO — the stopped retransmit
 // timers are skipped without a wakeup.
 func TestDESTimersLeaveNoPhantomWakeups(t *testing.T) {
 	leakCheck(t)
 	w := des.NewWorld()
 	ta, tb := memdrv.TransportPair(t.Name(), core.Profile{}, 512)
-	cfg := relnet.Config{RTO: time.Hour, Clock: relnet.DESClock{W: w}}
+	cfg := relnet.Config{RTO: time.Hour, Clock: simnet.WorldClock{W: w}}
 	da, db := relnet.Wrap(ta, cfg), relnet.Wrap(tb, cfg)
 	sa, sb := &sink{}, &sink{}
 	da.Bind(0, sa)

@@ -74,9 +74,9 @@ func (h *Host) ChargePollLoop() {
 	h.CPU.Charge(total)
 }
 
-// Now, Charge and Memcpy make Host satisfy the engine's Clock interface
-// (core.Clock), so an engine bound to this host charges its CPU costs to
-// the simulated processor.
+// Now, Charge, Memcpy and AfterFunc make Host satisfy the engine's Clock
+// interface (core.Clock), so an engine bound to this host charges its
+// CPU costs to the simulated processor.
 
 // Now reports the host clock in nanoseconds (virtual time plus pending
 // CPU work).
@@ -89,15 +89,35 @@ func (h *Host) Charge(d int64) { h.CPU.Charge(d) }
 func (h *Host) Memcpy(n int) { h.ChargeMemcpy(n) }
 
 // AfterFunc schedules fn after d nanoseconds of virtual time on a
-// cancellable DES timer, satisfying core.TimerClock so timed speculation
-// (hedged sends) runs identically over simulated hardware and real
-// sockets. The returned stop function cancels an unfired timer.
-func (h *Host) AfterFunc(d int64, fn func()) func() {
+// cancellable DES timer, so timed speculation (hedged sends) runs
+// identically over simulated hardware and real sockets. The returned
+// stop function cancels an unfired timer.
+func (h *Host) AfterFunc(d int64, fn func()) func() { return WorldClock{h.W}.AfterFunc(d, fn) }
+
+// WorldClock is a core.Clock that reads the world's virtual time with
+// no host CPU behind it: Now is the event clock alone, never a host's
+// CPU-inclusive time, and Charge and Memcpy cost nothing. Protocol
+// timers that model the wire rather than a processor (relnet's
+// retransmit machinery on simulated rails) run on it.
+type WorldClock struct{ W *des.World }
+
+// Now reports the world's virtual time in nanoseconds.
+func (c WorldClock) Now() int64 { return int64(c.W.Now()) }
+
+// Charge is a no-op: no CPU is modelled.
+func (WorldClock) Charge(int64) {}
+
+// Memcpy is a no-op: no CPU is modelled.
+func (WorldClock) Memcpy(int) {}
+
+// AfterFunc schedules fn after d nanoseconds of virtual time on a
+// cancellable DES timer; a stopped timer is skipped without advancing
+// virtual time.
+func (c WorldClock) AfterFunc(d int64, fn func()) func() {
 	if d < 0 {
 		d = 0
 	}
-	t := h.W.Schedule(des.Time(d), fn)
-	return t.Stop
+	return c.W.Schedule(des.Time(d), fn).Stop
 }
 
 // String implements fmt.Stringer.

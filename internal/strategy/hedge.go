@@ -28,10 +28,9 @@ import (
 // duplicates never ride the primary's request: byte accounting on the
 // user's request stays exact.
 //
-// Requires the engine clock to implement core.TimerClock (the wall clock
-// and the DES hosts both do); otherwise hedging silently disables and the
-// inner strategy runs unmodified. Hedged sizes must stay within the
-// rails' eager regime: duplicates are always sent eagerly, never through
+// The stagger timer runs on the engine clock, so hedging behaves the
+// same over real sockets and over the DES. Hedged sizes must stay
+// within the rails' eager regime: duplicates are always sent eagerly, never through
 // rendezvous. The default cap (the engine's AggThreshold) guarantees
 // that.
 type Hedge struct {
@@ -209,16 +208,12 @@ func (h *Hedge) maybeArm(b *core.Backlog, r *core.Rail, p *core.Packet) {
 		return
 	}
 	g := b.Gate()
-	tc, ok := g.Engine().Clock().(core.TimerClock)
-	if !ok {
-		return
-	}
 	h.eligible.Add(1)
 	h.primBytes.Add(uint64(len(p.Payload)))
 	data := p.Payload // aliases the caller's buffer; stable until req completes
 	tag, msg := hdr.Tag, hdr.MsgID
 	primary := r.Index()
-	stop := tc.AfterFunc(int64(h.stagger(r)), func() {
+	stop := g.Engine().Clock().AfterFunc(int64(h.stagger(r)), func() {
 		g.Exec(func(o core.Ops) {
 			if req.Done() {
 				return
