@@ -50,12 +50,37 @@ type Events interface {
 // domain acquisition for the whole batch instead of one wakeup per
 // packet. Ownership of the batch transfers with the call; the sink
 // recycles it after dispatch. The engine's rail event sink implements
-// this; drivers should type-assert and fall back to per-event delivery.
+// this; drivers hand batches over with DeliverEvents, which also serves
+// sinks without it.
 type BatchEvents interface {
 	Events
 	// DeliverBatch dispatches the batch's events in order, as if each
 	// had been delivered through the matching Events callback.
 	DeliverBatch(rail int, batch *EventBatch)
+}
+
+// DeliverEvents is the one driver-to-engine hand-off: it passes batch
+// to ev.DeliverBatch when ev is a BatchEvents, and otherwise replays
+// the events in order through the four Events callbacks and recycles
+// the batch. Either way the caller gives up the batch.
+func DeliverEvents(ev Events, rail int, batch *EventBatch) {
+	if be, ok := ev.(BatchEvents); ok {
+		be.DeliverBatch(rail, batch)
+		return
+	}
+	for _, e := range batch.events {
+		switch e.Kind {
+		case EvSendComplete:
+			ev.SendComplete(rail)
+		case EvSendFailed:
+			ev.SendFailed(rail, e.Pkt, e.Err)
+		case EvArrive:
+			ev.Arrive(rail, e.Pkt)
+		case EvRailDown:
+			ev.RailDown(rail, e.Err)
+		}
+	}
+	putEventBatch(batch)
 }
 
 // Driver is the transmit-layer interface: one point-to-point rail to a

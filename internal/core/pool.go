@@ -216,9 +216,9 @@ type DriverEvent struct {
 // EventBatch carries several driver events into a gate's progress domain
 // in one delivery, so a busy rail costs one domain acquisition per poll
 // instead of one per packet. Batches are pooled: the driver fills one
-// with GetEventBatch/Add and hands it to Events.DeliverBatch (when the
-// sink implements BatchEvents); ownership transfers with the call and
-// the engine recycles the batch after dispatching its entries.
+// with GetEventBatch/Add and hands it to DeliverEvents; ownership
+// transfers with the call and the batch is recycled after its entries
+// are dispatched.
 type EventBatch struct {
 	events []DriverEvent
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"errors"
+	"reflect"
+	"testing"
+)
 
 func TestClassForBoundaries(t *testing.T) {
 	cases := []struct{ n, want int }{
@@ -137,5 +141,70 @@ func TestEventBatchRecycleClears(t *testing.T) {
 	putEventBatch(b)
 	if b.Len() != 0 {
 		t.Fatalf("recycled batch still holds %d events", b.Len())
+	}
+}
+
+// eventLog records plain (non-batch) Events callbacks in call order.
+type eventLog struct{ got []DriverEvent }
+
+func (l *eventLog) SendComplete(int) { l.got = append(l.got, DriverEvent{Kind: EvSendComplete}) }
+func (l *eventLog) SendFailed(_ int, p *Packet, err error) {
+	l.got = append(l.got, DriverEvent{Kind: EvSendFailed, Pkt: p, Err: err})
+}
+func (l *eventLog) Arrive(_ int, p *Packet) {
+	l.got = append(l.got, DriverEvent{Kind: EvArrive, Pkt: p})
+}
+func (l *eventLog) RailDown(_ int, err error) {
+	l.got = append(l.got, DriverEvent{Kind: EvRailDown, Err: err})
+}
+
+// batchLog also accepts whole batches.
+type batchLog struct {
+	eventLog
+	batches []*EventBatch
+}
+
+func (l *batchLog) DeliverBatch(_ int, b *EventBatch) { l.batches = append(l.batches, b) }
+
+func TestDeliverEventsReplaysInOrderAndRecycles(t *testing.T) {
+	failed := errors.New("send failed")
+	down := errors.New("rail down")
+	want := []DriverEvent{
+		{Kind: EvSendComplete},
+		{Kind: EvArrive, Pkt: &Packet{}},
+		{Kind: EvSendFailed, Pkt: &Packet{}, Err: failed},
+		{Kind: EvArrive, Pkt: &Packet{}},
+		{Kind: EvSendComplete},
+		{Kind: EvRailDown, Err: down},
+	}
+	b := GetEventBatch()
+	for _, e := range want {
+		b.Add(e)
+	}
+	var sink eventLog
+	DeliverEvents(&sink, 3, b)
+	if !reflect.DeepEqual(sink.got, want) {
+		t.Fatalf("plain sink got %+v, want %+v", sink.got, want)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("batch not recycled: still holds %d events", b.Len())
+	}
+	for i, e := range b.events[:cap(b.events)] {
+		if e != (DriverEvent{}) {
+			t.Fatalf("recycled batch slot %d still references %+v", i, e)
+		}
+	}
+}
+
+func TestDeliverEventsPassesBatchToBatchSink(t *testing.T) {
+	b := GetEventBatch()
+	b.Add(DriverEvent{Kind: EvSendComplete})
+	var sink batchLog
+	DeliverEvents(&sink, 0, b)
+	if len(sink.batches) != 1 || sink.batches[0] != b || len(sink.got) != 0 {
+		t.Fatalf("batch sink got batches %v and per-event calls %+v", sink.batches, sink.got)
+	}
+	if b.Len() != 1 {
+		t.Fatalf("batch handed to DeliverBatch was modified: Len = %d", b.Len())
 	}
 }

@@ -382,25 +382,12 @@ func (d *Driver) receiver() {
 
 	rx := d.seg.RX()
 	var jb *jumbo
-	var pending []*core.Packet
+	var batch *core.EventBatch // arrivals not yet delivered
 	flush := func() {
-		if len(pending) == 0 {
-			return
+		if batch != nil {
+			core.DeliverEvents(ev, rail, batch)
+			batch = nil
 		}
-		if be, ok := ev.(core.BatchEvents); ok {
-			batch := core.GetEventBatch()
-			for i, pkt := range pending {
-				pending[i] = nil
-				batch.Add(core.DriverEvent{Kind: core.EvArrive, Pkt: pkt})
-			}
-			be.DeliverBatch(rail, batch)
-		} else {
-			for i, pkt := range pending {
-				pending[i] = nil
-				ev.Arrive(rail, pkt)
-			}
-		}
-		pending = pending[:0]
 	}
 	defer func() {
 		flush()
@@ -416,10 +403,10 @@ func (d *Driver) receiver() {
 		default:
 		}
 		popped := rx.TryPop(func(kind uint32, a, b []byte) {
-			d.consume(&pending, &jb, kind, a, b)
+			d.consume(&batch, &jb, kind, a, b)
 		})
 		if popped {
-			if len(pending) >= 32 {
+			if batch != nil && batch.Len() >= 32 {
 				flush()
 			}
 			continue
@@ -429,7 +416,7 @@ func (d *Driver) receiver() {
 			// Drain what was already published before reporting: records
 			// may have landed between the last TryPop and the check.
 			for rx.TryPop(func(kind uint32, a, b []byte) {
-				d.consume(&pending, &jb, kind, a, b)
+				d.consume(&batch, &jb, kind, a, b)
 			}) {
 			}
 			flush()
@@ -444,15 +431,15 @@ func (d *Driver) receiver() {
 	}
 }
 
-// consume turns one ring record into pending arrivals.
-func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b []byte) {
+// consume turns one ring record into batched arrivals.
+func (d *Driver) consume(batch **core.EventBatch, jb **jumbo, kind uint32, a, b []byte) {
 	switch kind {
 	case shmring.RecInline:
 		n := len(a) + len(b)
 		f := core.GetBuf(n)
 		copy(f.B, a)
 		copy(f.B[len(a):], b)
-		d.arrive(pending, f)
+		d.arrive(batch, f)
 
 	case shmring.RecRendezvous:
 		var ref [16]byte
@@ -470,7 +457,7 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 			rx.Free(off)
 			d.seg.Unref()
 		})
-		d.arrive(pending, f)
+		d.arrive(batch, f)
 
 	case shmring.RecJumboStart:
 		var tot [8]byte
@@ -492,20 +479,23 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 		if s.fill >= len(s.buf.B) {
 			f := s.buf
 			*jb = nil
-			d.arrive(pending, f)
+			d.arrive(batch, f)
 		}
 	}
 }
 
-// arrive decodes one full frame lease into a pending packet. Ownership
+// arrive decodes one full frame lease into a batched arrival. Ownership
 // of the lease passes to the packet (UnmarshalFrame releases it on
 // error).
-func (d *Driver) arrive(pending *[]*core.Packet, f *core.Buf) {
+func (d *Driver) arrive(batch **core.EventBatch, f *core.Buf) {
 	pkt, err := core.UnmarshalFrame(f)
 	if err != nil {
 		panic("shmdrv: corrupt packet: " + err.Error())
 	}
-	*pending = append(*pending, pkt)
+	if *batch == nil {
+		*batch = core.GetEventBatch()
+	}
+	(*batch).Add(core.DriverEvent{Kind: core.EvArrive, Pkt: pkt})
 }
 
 // Kill abandons this side the way a crash would: goroutines stop, the

@@ -13,9 +13,8 @@
 // is coalesced into one pooled buffer and issued as a single Write, so a
 // frame never costs two syscalls either way. A reader goroutine parses
 // frames into arena leases; Poll drains completions and arrivals in one
-// batch per call and hands them to the engine through BatchEvents when
-// the sink supports it (one progress-domain acquisition for the whole
-// batch). This is the only pumped driver: its rails join the engine's
+// batch per call and hands them to the engine with core.DeliverEvents
+// (one progress-domain acquisition for the whole batch). This is the only pumped driver: its rails join the engine's
 // active poll set (NeedsPoll reports true) and waiting goroutines pump
 // them, while event-driven drivers are never polled.
 package tcpdrv
@@ -185,6 +184,10 @@ func (d *Driver) Send(p *core.Packet) error {
 	if d.closed {
 		return ErrClosed
 	}
+	// Finish the header here, on the caller's goroutine: once queued the
+	// writer only reads the packet, so the engine may read its header
+	// concurrently (a rail failure traces the in-flight packet).
+	p.Hdr.PayLen = uint32(len(p.Payload))
 	select {
 	case d.sendq <- p:
 		return nil
@@ -245,7 +248,6 @@ func (d *Driver) writeVectored(batch []*core.Packet, iov net.Buffers, frames []*
 	frames = frames[:0]
 	for _, p := range batch {
 		f := core.GetBuf(4 + core.HeaderLen)
-		p.Hdr.PayLen = uint32(len(p.Payload))
 		binary.LittleEndian.PutUint32(f.B, uint32(p.WireLen()))
 		core.EncodeHeader(f.B[4:], &p.Hdr)
 		iov = append(iov, f.B)
@@ -282,7 +284,8 @@ func (d *Driver) writeCoalesced(batch []*core.Packet) error {
 	for _, p := range batch {
 		binary.LittleEndian.PutUint32(f.B[off:], uint32(p.WireLen()))
 		off += 4
-		off += p.EncodeTo(f.B[off:])
+		off += core.EncodeHeader(f.B[off:], &p.Hdr)
+		off += copy(f.B[off:], p.Payload)
 	}
 	_, err := d.conn.Write(f.B)
 	f.Release()
@@ -355,42 +358,24 @@ func (d *Driver) Poll() {
 		rerr = nil
 	}
 	d.mu.Unlock()
-	if be, ok := d.ev.(core.BatchEvents); ok {
-		if len(comps)+len(inbox) > 0 || rerr != nil {
-			batch := core.GetEventBatch()
-			for i, c := range comps {
-				comps[i] = completion{}
-				if c.err != nil {
-					batch.Add(core.DriverEvent{Kind: core.EvSendFailed, Pkt: c.pkt, Err: c.err})
-				} else {
-					batch.Add(core.DriverEvent{Kind: core.EvSendComplete})
-				}
-			}
-			for i, pkt := range inbox {
-				inbox[i] = nil
-				batch.Add(core.DriverEvent{Kind: core.EvArrive, Pkt: pkt})
-			}
-			if rerr != nil {
-				batch.Add(core.DriverEvent{Kind: core.EvRailDown, Err: rerr})
-			}
-			be.DeliverBatch(d.rail, batch)
-		}
-	} else {
+	if len(comps)+len(inbox) > 0 || rerr != nil {
+		batch := core.GetEventBatch()
 		for i, c := range comps {
 			comps[i] = completion{}
 			if c.err != nil {
-				d.ev.SendFailed(d.rail, c.pkt, c.err)
+				batch.Add(core.DriverEvent{Kind: core.EvSendFailed, Pkt: c.pkt, Err: c.err})
 			} else {
-				d.ev.SendComplete(d.rail)
+				batch.Add(core.DriverEvent{Kind: core.EvSendComplete})
 			}
 		}
 		for i, pkt := range inbox {
 			inbox[i] = nil
-			d.ev.Arrive(d.rail, pkt)
+			batch.Add(core.DriverEvent{Kind: core.EvArrive, Pkt: pkt})
 		}
 		if rerr != nil {
-			d.ev.RailDown(d.rail, rerr)
+			batch.Add(core.DriverEvent{Kind: core.EvRailDown, Err: rerr})
 		}
+		core.DeliverEvents(d.ev, d.rail, batch)
 	}
 	d.mu.Lock()
 	if d.compSpare == nil {

@@ -749,8 +749,8 @@ func (d *Driver) completeFrameLocked(frame *core.Buf, evs *[]core.DriverEvent) {
 
 // deliver dispatches collected events to the engine, outside the
 // driver lock (callbacks may re-enter Send). Before Bind the events are
-// buffered; multi-event groups go through the batched sink when the
-// engine offers one, costing a single progress-domain acquisition.
+// buffered; afterwards each group crosses as one batch, costing a
+// single progress-domain acquisition.
 func (d *Driver) deliver(evs []core.DriverEvent) {
 	d.mu.Lock()
 	ev := d.ev
@@ -768,26 +768,11 @@ func (d *Driver) deliver(evs []core.DriverEvent) {
 	if len(evs) == 0 {
 		return
 	}
-	if be, ok := ev.(core.BatchEvents); ok && len(evs) > 1 {
-		b := core.GetEventBatch()
-		for _, e := range evs {
-			b.Add(e)
-		}
-		be.DeliverBatch(rail, b)
-		return
-	}
+	b := core.GetEventBatch()
 	for _, e := range evs {
-		switch e.Kind {
-		case core.EvSendComplete:
-			ev.SendComplete(rail)
-		case core.EvSendFailed:
-			ev.SendFailed(rail, e.Pkt, e.Err)
-		case core.EvArrive:
-			ev.Arrive(rail, e.Pkt)
-		case core.EvRailDown:
-			ev.RailDown(rail, e.Err)
-		}
+		b.Add(e)
 	}
+	core.DeliverEvents(ev, rail, b)
 }
 
 var _ core.Driver = (*Driver)(nil)
