@@ -107,7 +107,9 @@ func (c *Cluster) newRailDriver(cfg *ClusterConfig, n *simnet.NIC) core.Driver {
 	return d
 }
 
-// NewCluster builds the platform described by cfg.
+// NewCluster builds the platform described by cfg: one rack of
+// cfg.Nodes hosts with one link per cfg.NICs class, wired by
+// ClusterFromTopo.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Nodes < 2 {
 		panic("bench: ClusterConfig.Nodes must be >= 2")
@@ -115,53 +117,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Strategy == nil {
 		panic("bench: ClusterConfig.Strategy is required")
 	}
-	if len(cfg.NICs) == 0 {
-		panic("bench: ClusterConfig.NICs is empty")
-	}
-	if cfg.Host == (simnet.HostParams{}) {
-		cfg.Host = simnet.Opteron()
-	}
-	w := des.NewWorld()
-	c := &Cluster{W: w, Adaptive: cfg.Adaptive}
-	for i := 0; i < cfg.Nodes; i++ {
-		c.Hosts = append(c.Hosts, simnet.NewHost(w, fmt.Sprintf("n%d", i), cfg.Host))
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		eng := core.New(core.Config{
-			Strategy: cfg.Strategy(), Clock: c.Hosts[i],
-			AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk,
-		})
-		c.Engines = append(c.Engines, eng)
-		c.Gates = append(c.Gates, make([]*core.Gate, cfg.Nodes))
-		c.NICs = append(c.NICs, make([][]*simnet.NIC, cfg.Nodes))
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		for j := i + 1; j < cfg.Nodes; j++ {
-			gi := c.Engines[i].NewGate(fmt.Sprintf("n%d", j))
-			gj := c.Engines[j].NewGate(fmt.Sprintf("n%d", i))
-			for _, np := range cfg.NICs {
-				ni := c.Hosts[i].NewNIC(np)
-				nj := c.Hosts[j].NewNIC(np)
-				simnet.Connect(ni, nj)
-				var prof core.Profile
-				if cfg.Sample {
-					prof = sampling.SampleNICPair(w, ni, nj, nil)
-				}
-				ri := gi.AddRail(c.newRailDriver(&cfg, ni))
-				rj := gj.AddRail(c.newRailDriver(&cfg, nj))
-				if cfg.Sample {
-					ri.SetProfile(prof)
-					rj.SetProfile(prof)
-				}
-				c.NICs[i][j] = append(c.NICs[i][j], ni)
-				c.NICs[j][i] = append(c.NICs[j][i], nj)
-			}
-			c.Gates[i][j] = gi
-			c.Gates[j][i] = gj
-		}
-	}
-	c.seedSelector()
-	return c
+	return ClusterFromTopo(simTopo(cfg.Host, cfg.Nodes, cfg.NICs, "ClusterConfig"), cfg)
 }
 
 // ClusterFromTopo wires engines, gates and rails over an already-built
@@ -174,12 +130,40 @@ func ClusterFromTopo(top *topo.Topology, cfg ClusterConfig) *Cluster {
 	if cfg.Strategy == nil {
 		panic("bench: ClusterConfig.Strategy is required")
 	}
+	return wire(top, cfg, nil)
+}
+
+// simTopo builds a one-rack topology of n hosts in a fresh world, one
+// link class per NIC model; a zero host model means Opteron. what names
+// the config in panics.
+func simTopo(host simnet.HostParams, n int, nics []simnet.NICParams, what string) *topo.Topology {
+	if len(nics) == 0 {
+		panic("bench: " + what + ".NICs is empty")
+	}
+	b := topo.New().Rack(n)
+	if host != (simnet.HostParams{}) {
+		b.HostModel(host)
+	}
+	for _, np := range nics {
+		b.Link(np)
+	}
+	return b.Build(des.NewWorld())
+}
+
+// wire is the one simulated-platform wiring: every NewCluster,
+// ClusterFromTopo and NewPair platform comes out of it. traces[i], when
+// present and non-nil, is engine i's trace hook.
+func wire(top *topo.Topology, cfg ClusterConfig, traces []func(core.TraceEvent)) *Cluster {
 	n := top.Size()
 	c := &Cluster{W: top.W, Hosts: top.Hosts, Adaptive: cfg.Adaptive}
 	for i := 0; i < n; i++ {
+		var trace func(core.TraceEvent)
+		if i < len(traces) {
+			trace = traces[i]
+		}
 		eng := core.New(core.Config{
 			Strategy: cfg.Strategy(), Clock: top.Hosts[i],
-			AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk,
+			AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Trace: trace,
 		})
 		c.Engines = append(c.Engines, eng)
 		c.Gates = append(c.Gates, make([]*core.Gate, n))

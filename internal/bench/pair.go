@@ -10,8 +10,6 @@ import (
 
 	"newmad/internal/core"
 	"newmad/internal/des"
-	"newmad/internal/drivers/simdrv"
-	"newmad/internal/sampling"
 	"newmad/internal/simnet"
 )
 
@@ -42,57 +40,22 @@ type Pair struct {
 	GateAB, GateBA *core.Gate
 }
 
-// NewPair builds the platform described by cfg.
+// NewPair builds the platform described by cfg: a two-host topology
+// with one link per cfg.NICs class, through the same wiring as
+// NewCluster.
 func NewPair(cfg PairConfig) *Pair {
 	if cfg.Strategy == nil {
 		panic("bench: PairConfig.Strategy is required")
 	}
-	if len(cfg.NICs) == 0 {
-		panic("bench: PairConfig.NICs is empty")
+	c := wire(simTopo(cfg.Host, 2, cfg.NICs, "PairConfig"), ClusterConfig{
+		Strategy: cfg.Strategy, AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Sample: cfg.Sample,
+	}, []func(core.TraceEvent){cfg.TraceA, cfg.TraceB})
+	return &Pair{
+		W:     c.W,
+		HostA: c.Hosts[0], HostB: c.Hosts[1],
+		EngA: c.Engines[0], EngB: c.Engines[1],
+		GateAB: c.Gates[0][1], GateBA: c.Gates[1][0],
 	}
-	if cfg.Host == (simnet.HostParams{}) {
-		cfg.Host = simnet.Opteron()
-	}
-	w := des.NewWorld()
-	p := &Pair{
-		W:     w,
-		HostA: simnet.NewHost(w, "A", cfg.Host),
-		HostB: simnet.NewHost(w, "B", cfg.Host),
-	}
-	var nicsA, nicsB []*simnet.NIC
-	for _, np := range cfg.NICs {
-		na := p.HostA.NewNIC(np)
-		nb := p.HostB.NewNIC(np)
-		simnet.Connect(na, nb)
-		nicsA = append(nicsA, na)
-		nicsB = append(nicsB, nb)
-	}
-	var profiles []core.Profile
-	if cfg.Sample {
-		for i := range nicsA {
-			prof := sampling.SampleNICPair(w, nicsA[i], nicsB[i], nil)
-			profiles = append(profiles, prof)
-		}
-	}
-	p.EngA = core.New(core.Config{
-		Strategy: cfg.Strategy(), Clock: p.HostA,
-		AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Trace: cfg.TraceA,
-	})
-	p.EngB = core.New(core.Config{
-		Strategy: cfg.Strategy(), Clock: p.HostB,
-		AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Trace: cfg.TraceB,
-	})
-	p.GateAB = p.EngA.NewGate("B")
-	p.GateBA = p.EngB.NewGate("A")
-	for i := range nicsA {
-		ra := p.GateAB.AddRail(simdrv.New(nicsA[i]))
-		rb := p.GateBA.AddRail(simdrv.New(nicsB[i]))
-		if cfg.Sample {
-			ra.SetProfile(profiles[i])
-			rb.SetProfile(profiles[i])
-		}
-	}
-	return p
 }
 
 // WaitReqs parks the process until every request has completed,
