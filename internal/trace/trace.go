@@ -12,10 +12,13 @@ import (
 )
 
 // Collector accumulates trace events. The zero value is ready to use.
+// A bounded collector is a ring: once full, each new event overwrites
+// the oldest in O(1).
 type Collector struct {
-	mu  sync.Mutex
-	evs []core.TraceEvent
-	max int
+	mu   sync.Mutex
+	evs  []core.TraceEvent
+	head int // index of the oldest event once the ring is full
+	max  int
 }
 
 // New returns a collector that keeps at most max events (0 = unbounded).
@@ -26,20 +29,20 @@ func (c *Collector) Hook() func(core.TraceEvent) {
 	return func(ev core.TraceEvent) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if c.max > 0 && len(c.evs) >= c.max {
-			copy(c.evs, c.evs[1:])
-			c.evs[len(c.evs)-1] = ev
+		if c.max > 0 && len(c.evs) == c.max {
+			c.evs[c.head] = ev
+			c.head = (c.head + 1) % c.max
 			return
 		}
 		c.evs = append(c.evs, ev)
 	}
 }
 
-// Events returns a snapshot of collected events.
+// Events returns a snapshot of collected events, oldest first.
 func (c *Collector) Events() []core.TraceEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]core.TraceEvent(nil), c.evs...)
+	return append(append([]core.TraceEvent(nil), c.evs[c.head:]...), c.evs[:c.head]...)
 }
 
 // Reset discards collected events.
@@ -47,6 +50,7 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.evs = c.evs[:0]
+	c.head = 0
 }
 
 // Count returns the number of events matching the filter (nil matches

@@ -82,6 +82,41 @@ func TestMaxAgg(t *testing.T) {
 	}
 }
 
+// TestCollectorRingWrapsInOrder wraps a bounded collector several
+// times, checking after every event that it holds the newest
+// min(n, max) events, oldest first, and that Reset restarts the ring.
+func TestCollectorRingWrapsInOrder(t *testing.T) {
+	const max = 5
+	c := New(max)
+	hook := c.Hook()
+	check := func(n int) {
+		t.Helper()
+		evs := c.Events()
+		want := n
+		if want > max {
+			want = max
+		}
+		if len(evs) != want {
+			t.Fatalf("after %d events: kept %d, want %d", n, len(evs), want)
+		}
+		for i, e := range evs {
+			if e.Len != n-want+i {
+				t.Fatalf("after %d events: slot %d holds event %d, want %d (%+v)", n, i, e.Len, n-want+i, evs)
+			}
+		}
+	}
+	for i := 0; i < 4*max+2; i++ {
+		hook(core.TraceEvent{Ev: "post", Len: i})
+		check(i + 1)
+	}
+	c.Reset()
+	check(0)
+	for i := 0; i < max+3; i++ {
+		hook(core.TraceEvent{Ev: "post", Len: i})
+	}
+	check(max + 3)
+}
+
 func TestReset(t *testing.T) {
 	c := New(0)
 	c.Hook()(ev(core.KData, 0, 1, 0))
