@@ -479,9 +479,10 @@ func (d *Driver) onTimer(gen uint64) {
 	}
 	d.stopTimer = nil
 	var oldest *segState
-	for _, s := range d.win {
-		if s.data != nil && (oldest == nil || s.seq < oldest.seq) {
+	for seq, end := d.winLo(), d.winEnd(); seq < end; seq++ {
+		if s := d.win[seq]; s.data != nil {
 			oldest = s
+			break
 		}
 	}
 	if oldest == nil {
@@ -507,6 +508,12 @@ func (d *Driver) onTimer(gen uint64) {
 	d.flush(out)
 	d.deliver(evs)
 }
+
+// winLo and winEnd bound the window: it holds exactly the sequence
+// numbers in [winLo, winEnd), because segments enter it in sequence
+// order from txq and leave only as a cumulatively acked prefix.
+func (d *Driver) winEnd() uint64 { return d.nextSeq - uint64(len(d.txq)) }
+func (d *Driver) winLo() uint64  { return d.winEnd() - uint64(len(d.win)) }
 
 // sampleRTTLocked feeds one valid RTT sample (Karn: from a segment
 // acked on its first transmission) into the SRTT/RTTVAR estimator and
@@ -548,11 +555,8 @@ func (d *Driver) sampleRTTLocked(ns int64) {
 func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.DriverEvent) {
 	now := d.clock.Now()
 	progress := false
-	// The window is the contiguous range [lo, hi]: segments enter it in
-	// sequence order from txq and leave as a cumulatively acked prefix.
-	hi := d.nextSeq - 1 - uint64(len(d.txq))
-	lo := hi + 1 - uint64(len(d.win))
-	for seq := lo; seq <= cum && seq <= hi; seq++ {
+	end := d.winEnd()
+	for seq := d.winLo(); seq <= cum && seq < end; seq++ {
 		seg := d.win[seq]
 		if seg.retries == 0 && seg.data != nil {
 			d.sampleRTTLocked(now - seg.sentAt)
@@ -586,7 +590,7 @@ func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.Dri
 	// lost (its successors arrived). Three such hints trigger one fast
 	// retransmit, without waiting for the RTO.
 	if maxSacked > 0 {
-		for seq := hi + 1 - uint64(len(d.win)); seq < maxSacked && seq <= hi; seq++ {
+		for seq := d.winLo(); seq < maxSacked && seq < end; seq++ {
 			seg := d.win[seq]
 			if seg.sacked || seg.data == nil {
 				continue
