@@ -35,7 +35,7 @@ type ClusterConfig struct {
 	// (sequencing, acks, retransmission): chaos-injected packet loss is
 	// then recovered by retransmission in virtual time instead of
 	// latching the receiving rail down. Retransmit timers land on the
-	// world's cancellable timer API via a DES clock.
+	// world's cancellable timer API via a simnet.WorldClock.
 	Reliable bool
 	// Rel tunes the reliability layer when Reliable is set; zero values
 	// derive from each rail's NIC profile.
@@ -117,7 +117,10 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Strategy == nil {
 		panic("bench: ClusterConfig.Strategy is required")
 	}
-	return ClusterFromTopo(simTopo(cfg.Host, cfg.Nodes, cfg.NICs, "ClusterConfig"), cfg)
+	if len(cfg.NICs) == 0 {
+		panic("bench: ClusterConfig.NICs is empty")
+	}
+	return ClusterFromTopo(simTopo(cfg.Host, cfg.Nodes, cfg.NICs), cfg)
 }
 
 // ClusterFromTopo wires engines, gates and rails over an already-built
@@ -134,12 +137,8 @@ func ClusterFromTopo(top *topo.Topology, cfg ClusterConfig) *Cluster {
 }
 
 // simTopo builds a one-rack topology of n hosts in a fresh world, one
-// link class per NIC model; a zero host model means Opteron. what names
-// the config in panics.
-func simTopo(host simnet.HostParams, n int, nics []simnet.NICParams, what string) *topo.Topology {
-	if len(nics) == 0 {
-		panic("bench: " + what + ".NICs is empty")
-	}
+// link class per NIC model; a zero host model means Opteron.
+func simTopo(host simnet.HostParams, n int, nics []simnet.NICParams) *topo.Topology {
 	b := topo.New().Rack(n)
 	if host != (simnet.HostParams{}) {
 		b.HostModel(host)

@@ -47,7 +47,10 @@ func NewPair(cfg PairConfig) *Pair {
 	if cfg.Strategy == nil {
 		panic("bench: PairConfig.Strategy is required")
 	}
-	c := wire(simTopo(cfg.Host, 2, cfg.NICs, "PairConfig"), ClusterConfig{
+	if len(cfg.NICs) == 0 {
+		panic("bench: PairConfig.NICs is empty")
+	}
+	c := wire(simTopo(cfg.Host, 2, cfg.NICs), ClusterConfig{
 		Strategy: cfg.Strategy, AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Sample: cfg.Sample,
 	}, []func(core.TraceEvent){cfg.TraceA, cfg.TraceB})
 	return &Pair{
