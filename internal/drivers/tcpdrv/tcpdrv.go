@@ -14,9 +14,10 @@
 // frame never costs two syscalls either way. A reader goroutine parses
 // frames into arena leases; Poll drains completions and arrivals in one
 // batch per call and hands them to the engine with core.DeliverEvents
-// (one progress-domain acquisition for the whole batch). This is the only pumped driver: its rails join the engine's
-// active poll set (NeedsPoll reports true) and waiting goroutines pump
-// them, while event-driven drivers are never polled.
+// (one progress-domain acquisition for the whole batch). This is the
+// only pumped driver: its rails join the engine's active poll set
+// (NeedsPoll reports true) and waiting goroutines pump them, while
+// event-driven drivers are never polled.
 package tcpdrv
 
 import (

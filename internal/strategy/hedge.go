@@ -30,9 +30,9 @@ import (
 //
 // The stagger timer runs on the engine clock, so hedging behaves the
 // same over real sockets and over the DES. Hedged sizes must stay
-// within the rails' eager regime: duplicates are always sent eagerly, never through
-// rendezvous. The default cap (the engine's AggThreshold) guarantees
-// that.
+// within the rails' eager regime: duplicates are always sent eagerly,
+// never through rendezvous. The default cap (the engine's AggThreshold)
+// guarantees that.
 type Hedge struct {
 	inner    core.Strategy
 	maxSize  int     // 0 → backlog AggThreshold

@@ -87,7 +87,8 @@ type (
 	Packet = core.Packet
 	// Header is the logical packet header.
 	Header = core.Header
-	// Clock abstracts time and CPU cost accounting.
+	// Clock abstracts time, CPU cost accounting and cancellable timers
+	// (AfterFunc); the engine, hedging and the reliability layer share it.
 	Clock = core.Clock
 	// TraceEvent is one engine diagnostic event.
 	TraceEvent = core.TraceEvent
